@@ -36,7 +36,6 @@ fn build_pool(fixture: &Fixture, pool_size: usize) -> Vec<axqa_core::MergeCandid
     let state = ClusterState::new(&fixture.stable, SizeModel::TREESKETCH);
     let mut config = BuildConfig::with_budget(1);
     config.heap_upper = pool_size;
-    config.threads = 1;
     let mut scratch = ScoreScratch::new();
     create_candidate_pool(&state, &config, &mut scratch)
 }

@@ -37,18 +37,6 @@ fn bench_construction(c: &mut Criterion) {
         group.bench_function(format!("treesketch/{}", dataset.name()), |b| {
             b.iter(|| ts_build(&fixture.stable, &BuildConfig::with_budget(1)))
         });
-        // Serial vs parallel CREATEPOOL scoring at the same budget: the
-        // outputs are bit-identical, only the wall time differs.
-        let mut serial = BuildConfig::with_budget(1);
-        serial.threads = 1;
-        group.bench_function(format!("treesketch_serial/{}", dataset.name()), |b| {
-            b.iter(|| ts_build(&fixture.stable, &serial))
-        });
-        let mut parallel = BuildConfig::with_budget(1);
-        parallel.threads = 0;
-        group.bench_function(format!("treesketch_parallel/{}", dataset.name()), |b| {
-            b.iter(|| ts_build(&fixture.stable, &parallel))
-        });
         group.bench_function(format!("twig_xsketch/{}", dataset.name()), |b| {
             b.iter(|| {
                 build_xsketch(

@@ -5,10 +5,8 @@
 //!     Document statistics (elements, size, labels, height, fan-out).
 //!
 //! axqa summarize <doc.xml> --budget 10KB -o <sketch.ts> [--values f]
-//!                [--threads N]
 //!     Build the count-stable summary, compress it with TSBUILD, save;
-//!     --values additionally writes the value layer, --threads sets the
-//!     candidate-scoring worker count (default: all cores; 1 = serial).
+//!     --values additionally writes the value layer.
 //!
 //! axqa estimate <sketch.ts> -q "q1: q0 //a[//b]; q2: q1 //p" [--values f]
 //!     Selectivity estimate from a saved synopsis (';' separates lines);
@@ -192,16 +190,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_summarize(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["budget", "o", "values", "threads"])?;
+    let opts = Opts::parse(args, &["budget", "o", "values"])?;
     let doc = load_document(opts.positional(0, "document path")?)?;
     let budget = parse_budget(opts.value("budget").unwrap_or("10KB"))?;
     let output = opts.value("o").ok_or("missing -o <sketch.ts>")?;
     let stable = build_stable(&doc);
-    let mut build_config = BuildConfig::with_budget(budget);
-    if let Some(threads) = opts.value("threads") {
-        build_config.threads = threads.parse().map_err(|_| "bad --threads")?;
-    }
-    let report = ts_build(&stable, &build_config);
+    let report = ts_build(&stable, &BuildConfig::with_budget(budget));
     write_file(output, &axqa_core::io::to_text(&report.sketch))?;
     if let Some(values_path) = opts.value("values") {
         let values = axqa_core::ValueIndex::build(

@@ -29,15 +29,15 @@
 //!   This keeps pool generation near-linear on documents whose stable
 //!   summaries have thousands of same-label classes (the paper's own
 //!   `Uh` bound plays the same cost-control role).
-//! * Candidate scoring is sharded across [`BuildConfig::threads`] scoped
-//!   worker threads. Each worker scores its share of the level's label
-//!   groups into a local bounded worst-first heap; the local heaps are
-//!   merged under the candidates' *total* order (ratio via
-//!   `f64::total_cmp`, ties broken on the pair ids), so the surviving
-//!   top-`Uh` set — and therefore the whole build — is bit-identical to
-//!   the serial run. See DESIGN.md §4.6 for the determinism argument.
+//! * Not a deviation: TSBUILD stays on one thread, as Fig. 5 is
+//!   written. Sharding `CREATEPOOL` scoring across workers measured no
+//!   gain (DESIGN.md §4.2), so the pool, the merge loop and every sweep
+//!   budget's sketch are built sequentially. `CREATEPOOL` keeps the
+//!   best `Uh` candidates under their total order (ratio via
+//!   `f64::total_cmp`, ties broken on the pair ids), so the pool is a
+//!   pure function of the state.
 
-use crate::cluster::{ClusterState, PartitionSnapshot, ScoreScratch};
+use crate::cluster::{ClusterState, ScoreScratch};
 use crate::queue::{MergeCandidate, MergeQueue, QueueStats};
 use crate::sketch::TreeSketch;
 use axqa_synopsis::{SizeModel, StableSummary};
@@ -61,10 +61,6 @@ pub struct BuildConfig {
     pub group_all_pairs_cap: usize,
     /// Window width for large groups.
     pub window: usize,
-    /// Worker threads for `CREATEPOOL` candidate scoring and sweep
-    /// snapshot finalization: `0` = available parallelism, `1` = the
-    /// serial code path. Any value produces bit-identical output.
-    pub threads: usize,
     /// Record every applied merge into [`BuildReport::merge_log`].
     /// Off by default: the log is test/diagnostic machinery (the
     /// lazy-vs-eager equivalence oracle compares full sequences) and
@@ -82,20 +78,15 @@ impl BuildConfig {
             size_model: SizeModel::TREESKETCH,
             group_all_pairs_cap: 48,
             window: 4,
-            threads: 0,
             record_merges: false,
         }
     }
 
-    /// Resolved worker count for the §4.2 `CREATEPOOL` scoring shards:
-    /// `threads` if positive, otherwise the machine's available
-    /// parallelism.
+    /// Threads TSBUILD runs on: always 1, since the build is sequential
+    /// like Fig. 5. Kept so callers that report the build's thread count
+    /// keep a stable answer.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+        1
     }
 }
 
@@ -203,8 +194,8 @@ fn ts_build_to_budget(
     let mut pool_rebuilds = 0usize;
     let mut queue_stats = QueueStats::default();
     let mut merge_log: Vec<(u32, u32)> = Vec::new();
-    // One scratch serves every lazy re-evaluation of this build; the
-    // CREATEPOOL workers carry their own.
+    // One scratch serves CREATEPOOL scoring and every lazy
+    // re-evaluation of this build.
     let mut scratch = ScoreScratch::new();
 
     while state.size_bytes() > budget_bytes {
@@ -374,11 +365,10 @@ pub fn ts_build_eager(
     })
 }
 
-/// Budget sweep: compresses once, snapshotting the synopsis at every
+/// Budget sweep: compresses once, keeping the synopsis built at every
 /// requested budget. Equivalent to independent `ts_build` (Fig. 5)
-/// calls per
-/// budget (greedy merging is prefix-stable: the merges taken for a
-/// small budget extend those for a large one), but pays the
+/// calls per budget (greedy merging is prefix-stable: the merges taken
+/// for a small budget extend those for a large one), but pays the
 /// construction cost once. Returns sketches aligned with the input
 /// order.
 ///
@@ -393,90 +383,26 @@ pub fn ts_build_sweep(
     let mut order: Vec<usize> = (0..budgets.len()).collect();
     order.sort_unstable_by(|&a, &b| budgets[b].cmp(&budgets[a])); // descending
     let mut state = ClusterState::new(stable, config.size_model);
-    let mut snaps: Vec<Option<PartitionSnapshot>> = (0..budgets.len()).map(|_| None).collect();
+    let mut sketches: Vec<Option<TreeSketch>> = (0..budgets.len()).map(|_| None).collect();
     for index in order {
-        if let Err(error) = ts_build_to_budget(&mut state, config, budgets[index]) {
-            panic!("ts_build_sweep: {error}");
-        }
-        // Snapshots are cheap copies of the live partition; the costly
-        // finalization (renumbering, centroids, edge sorting) is fanned
-        // out below once the sequential merging is done.
-        snaps[index] = Some(state.snapshot());
-    }
-    let snaps: Vec<PartitionSnapshot> = snaps.into_iter().flatten().collect();
-    finalize_snapshots(&snaps, config)
-}
-
-/// Turns sweep snapshots into sketches, in input order, sharding the
-/// per-budget finalization work across the Fig. 5 worker pool.
-fn finalize_snapshots(snaps: &[PartitionSnapshot], config: &BuildConfig) -> Vec<TreeSketch> {
-    let _span = axqa_obs::span_with("TSBUILD.finalize_sweep", "snapshots", snaps.len() as u64);
-    let threads = config.effective_threads().max(1).min(snaps.len());
-    if threads <= 1 || snaps.len() <= 1 {
-        return snaps.iter().map(PartitionSnapshot::finalize).collect();
-    }
-    let scope_result = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move |_| {
-                    snaps
-                        .iter()
-                        .enumerate()
-                        .skip(t)
-                        .step_by(threads)
-                        .map(|(i, snap)| (i, snap.finalize()))
-                        .collect::<Vec<(usize, TreeSketch)>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(chunk) => chunk,
-                Err(_) => panic!("sweep finalization worker panicked"),
-            })
-            .collect::<Vec<_>>()
-    });
-    let chunks = match scope_result {
-        Ok(chunks) => chunks,
-        Err(_) => panic!("sweep finalization scope failed"),
-    };
-    let mut out: Vec<Option<TreeSketch>> = (0..snaps.len()).map(|_| None).collect();
-    for chunk in chunks {
-        for (index, sketch) in chunk {
-            out[index] = Some(sketch);
+        match ts_build_to_budget(&mut state, config, budgets[index]) {
+            Ok(report) => sketches[index] = Some(report.sketch),
+            Err(error) => panic!("ts_build_sweep: {error}"),
         }
     }
-    out.into_iter().flatten().collect()
+    sketches.into_iter().flatten().collect()
 }
-
-/// Minimum clusters at a level before scoring shards across workers;
-/// below this, thread-spawn overhead dominates the evaluate_merge work.
-const PARALLEL_LEVEL_MIN: usize = 32;
 
 /// `CREATEPOOL` (Fig. 6): bottom-up (by node depth) generation of at most
 /// `Uh` candidate merges, keeping the best ratios seen.
-///
-/// Each level's label groups are sharded round-robin across
-/// [`BuildConfig::threads`] scoped workers; every worker scores its
-/// groups into a local bounded worst-first heap and the local heaps are
-/// merged under the candidates' total order. Because keeping the `Uh`
-/// smallest elements of a set under a total order is independent of
-/// visit order, the merged pool is identical to the serial one, and the
-/// level-by-level early exit (the paper's loop guard) is preserved by
-/// the per-level barrier.
 fn create_pool(
     state: &ClusterState<'_>,
     config: &BuildConfig,
     scratch: &mut ScoreScratch,
 ) -> Vec<MergeCandidate> {
-    let _span = axqa_obs::span_with(
-        "CREATEPOOL",
-        "threads",
-        config.effective_threads().max(1) as u64,
-    );
+    let _span = axqa_obs::span("CREATEPOOL");
     // Group live clusters by label; count clusters per depth so levels
-    // with no work are skipped and small levels stay serial.
+    // with no work are skipped.
     let mut by_label: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
     let mut max_depth = 0u32;
     let mut level_counts: Vec<usize> = Vec::new();
@@ -491,7 +417,6 @@ fn create_pool(
         level_counts[depth] += 1;
     }
     let groups: Vec<Vec<u32>> = by_label.into_values().collect();
-    let threads = config.effective_threads().max(1);
 
     // Worst-ratio-on-top heap keeping the best `Uh` candidates.
     let mut best: BinaryHeap<WorstFirst> = BinaryHeap::new();
@@ -503,17 +428,9 @@ fn create_pool(
         if at_level == 0 {
             continue; // no cluster has max(depth) == level here
         }
-        if threads > 1 && groups.len() > 1 && at_level >= PARALLEL_LEVEL_MIN {
-            for local in score_level_parallel(state, config, level, &groups, threads) {
-                for worst in local {
-                    bounded_push(&mut best, config.heap_upper, worst.0);
-                }
-            }
-        } else {
-            let _score_span = axqa_obs::span_with("CREATEPOOL.score", "level", u64::from(level));
-            for group in &groups {
-                score_group(state, config, level, group, &mut best, scratch);
-            }
+        let _score_span = axqa_obs::span_with("CREATEPOOL.score", "level", u64::from(level));
+        for group in &groups {
+            score_group(state, config, level, group, &mut best, scratch);
         }
         if best.len() >= config.heap_upper {
             break; // pool full and level exhausted (paper's loop guard)
@@ -531,65 +448,6 @@ pub fn create_candidate_pool(
     scratch: &mut ScoreScratch,
 ) -> Vec<MergeCandidate> {
     create_pool(state, config, scratch)
-}
-
-/// One level of Fig. 6 scoring, sharded: worker `t` of `threads` scores
-/// groups `t, t+threads, …` into a local bounded heap.
-fn score_level_parallel(
-    state: &ClusterState<'_>,
-    config: &BuildConfig,
-    level: u32,
-    groups: &[Vec<u32>],
-    threads: usize,
-) -> Vec<BinaryHeap<WorstFirst>> {
-    // Utilization telemetry (DESIGN.md §12): wall time of the region vs
-    // summed per-worker busy time. `parallel.capacity_us` is
-    // wall × workers, so utilization = busy / capacity across regions.
-    let region = axqa_obs::Stopwatch::start();
-    let scope_result = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move |_| {
-                    // Per-worker span: the worker's own thread id makes
-                    // the PR-2 parallel path visible lane-by-lane in the
-                    // Chrome trace (ISSUE 4 acceptance).
-                    let _span = axqa_obs::span_with("CREATEPOOL.score", "worker", t as u64);
-                    let busy = axqa_obs::Stopwatch::start();
-                    // Each worker owns its scratch: no sharing, no locks,
-                    // and the scoring arithmetic stays order-identical.
-                    let mut scratch = ScoreScratch::new();
-                    let mut local: BinaryHeap<WorstFirst> = BinaryHeap::new();
-                    let mut items = 0u64;
-                    for group in groups.iter().skip(t).step_by(threads) {
-                        score_group(state, config, level, group, &mut local, &mut scratch);
-                        items = items.saturating_add(1);
-                    }
-                    axqa_obs::counter("parallel.busy_us", busy.elapsed_us());
-                    axqa_obs::observe("parallel.worker_items", items);
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(local) => local,
-                Err(_) => panic!("CREATEPOOL scoring worker panicked"),
-            })
-            .collect::<Vec<_>>()
-    });
-    let locals = match scope_result {
-        Ok(locals) => locals,
-        Err(_) => panic!("CREATEPOOL scoring scope failed"),
-    };
-    let wall_us = region.elapsed_us();
-    axqa_obs::counter("parallel.regions", 1);
-    axqa_obs::counter("parallel.wall_us", wall_us);
-    axqa_obs::counter(
-        "parallel.capacity_us",
-        wall_us.saturating_mul(threads as u64),
-    );
-    locals
 }
 
 /// Scores one label group at one level (Fig. 6 inner loop) into `best`:
@@ -668,8 +526,7 @@ fn score_pair(
 
 /// Keeps the `cap` smallest candidates under the total order. Eviction
 /// compares the full `(ratio, a, b)` key, so the retained set is a pure
-/// function of the offered *set* — the property the parallel shard
-/// merge relies on.
+/// function of the offered *set*, independent of visit order.
 fn bounded_push(best: &mut BinaryHeap<WorstFirst>, cap: usize, cand: MergeCandidate) {
     if cap == 0 {
         return;
@@ -854,68 +711,6 @@ mod tests {
         parse_document(&src).unwrap()
     }
 
-    /// Worker count for the parallel side of the serial-vs-parallel
-    /// oracles. CI's determinism-smoke job overrides it
-    /// (`AXQA_TEST_THREADS=2`) so the oracle is exercised with a second
-    /// thread topology off the reference host.
-    pub(crate) fn test_threads() -> usize {
-        std::env::var("AXQA_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4)
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        let doc = many_class_doc();
-        let stable = build_stable(&doc);
-        let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
-        for budget in [exact / 2, exact / 4, 1] {
-            let mut serial = BuildConfig::with_budget(budget);
-            serial.threads = 1;
-            let mut parallel = serial.clone();
-            parallel.threads = test_threads();
-            let s = ts_build(&stable, &serial);
-            let p = ts_build(&stable, &parallel);
-            assert_eq!(s.merges, p.merges, "budget {budget}");
-            assert_eq!(s.pool_rebuilds, p.pool_rebuilds, "budget {budget}");
-            assert_eq!(s.final_bytes, p.final_bytes, "budget {budget}");
-            assert!(
-                s.squared_error == p.squared_error, // bitwise: same merge sequence
-                "budget {budget}: {} vs {}",
-                s.squared_error,
-                p.squared_error
-            );
-            assert_eq!(s.stable_assignment, p.stable_assignment, "budget {budget}");
-            assert_eq!(s.sketch.len(), p.sketch.len());
-            for (sn, pn) in s.sketch.nodes().iter().zip(p.sketch.nodes()) {
-                assert_eq!(sn, pn, "budget {budget}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_serial_on_windowed_groups() {
-        // Force the sliding-window path AND make levels large enough to
-        // trigger the parallel shard (PARALLEL_LEVEL_MIN).
-        let doc = many_class_doc();
-        let stable = build_stable(&doc);
-        let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
-        let mut serial = BuildConfig::with_budget(exact / 3);
-        serial.group_all_pairs_cap = 4;
-        serial.window = 2;
-        serial.threads = 1;
-        let mut parallel = serial.clone();
-        parallel.threads = test_threads();
-        let s = ts_build(&stable, &serial);
-        let p = ts_build(&stable, &parallel);
-        assert!(s.merges >= 1, "windowed path produced no merges");
-        assert_eq!(s.merges, p.merges);
-        assert_eq!(s.final_bytes, p.final_bytes);
-        assert!(s.squared_error == p.squared_error);
-        assert_eq!(s.stable_assignment, p.stable_assignment);
-    }
-
     #[test]
     fn large_group_window_path_reaches_budget() {
         // > group_all_pairs_cap same-label classes: CREATEPOOL must fall
@@ -1008,9 +803,9 @@ mod sweep_tests {
 
     #[test]
     fn sweep_equals_independent_builds_at_two_budgets() {
-        // Exercises the no-clone budget threading and the parallel
-        // snapshot finalization: the swept sketches must be structurally
-        // identical to independent ts_build runs at the same budgets.
+        // Exercises the no-clone budget threading: the swept sketches
+        // must be structurally identical to independent ts_build runs at
+        // the same budgets.
         let doc = parse_document(
             "<r><a><b/><b/><b/></a><a><b/></a><a><b/><b/></a>\
              <c><a><b/><b/><b/><b/></a></c><c><a/></c></r>",
@@ -1019,9 +814,7 @@ mod sweep_tests {
         let stable = build_stable(&doc);
         let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
         let budgets = [exact * 2 / 3, exact / 3];
-        let mut config = BuildConfig::with_budget(0);
-        config.threads = super::tests::test_threads();
-        let sweep = ts_build_sweep(&stable, &budgets, &config);
+        let sweep = ts_build_sweep(&stable, &budgets, &BuildConfig::with_budget(0));
         assert_eq!(sweep.len(), 2);
         for (&budget, swept) in budgets.iter().zip(&sweep) {
             let independent = ts_build(&stable, &BuildConfig::with_budget(budget)).sketch;

@@ -27,7 +27,7 @@
 use crate::sketch::{TreeSketch, TsNode, TsNodeId};
 use axqa_synopsis::{SizeModel, StableSummary, SynNodeId};
 use axqa_xml::fxhash::FxHashMap;
-use axqa_xml::{LabelId, LabelTable};
+use axqa_xml::LabelId;
 
 /// Per-direction sufficient statistics: `Σ n_s·K` and `Σ n_s·K²`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -117,9 +117,7 @@ impl MergeDelta {
 /// steady-state scoring performs zero heap allocation (the
 /// `tsbuild.scratch_reuses` counter tracks exactly that).
 ///
-/// Create one per `CREATEPOOL` scoring worker plus one for the merge
-/// loop's lazy re-evaluations, and pass it to every `evaluate_merge`
-/// call.
+/// Create one per build and pass it to every `evaluate_merge` call.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     /// Current generation; entries stamped differently are dead.
@@ -1198,35 +1196,6 @@ impl<'a> ClusterState<'a> {
         (sketch, assignment)
     }
 
-    /// Captures the live partition as a [`PartitionSnapshot`]: a plain
-    /// copy of the alive clusters' labels, extents, depths and edge
-    /// statistics. The copy is memcpy-cheap relative to
-    /// [`ClusterState::to_sketch`] (no renumbering, no centroid
-    /// division, no edge sorting), which lets budget sweeps snapshot
-    /// between sequential merge phases and finalize every snapshot in
-    /// parallel afterwards.
-    pub fn snapshot(&self) -> PartitionSnapshot {
-        let clusters = self
-            .clusters
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.alive)
-            .map(|(i, c)| SnapshotCluster {
-                id: axqa_xml::dense_id(i),
-                label: c.label,
-                elem_count: c.elem_count,
-                depth: c.depth,
-                stats: c.stats.clone(),
-            })
-            .collect();
-        PartitionSnapshot {
-            labels: self.stable.labels().clone(),
-            clusters,
-            root: self.cluster_of[self.stable.root().index()],
-            squared_error: self.total_sq,
-        }
-    }
-
     /// Extracts the current partition as an immutable [`TreeSketch`].
     pub fn to_sketch(&self) -> TreeSketch {
         let mut dense = vec![u32::MAX; self.clusters.len()];
@@ -1368,76 +1337,6 @@ impl<'a> ClusterState<'a> {
     }
 }
 
-/// One live cluster as captured by [`ClusterState::snapshot`].
-#[derive(Debug, Clone)]
-struct SnapshotCluster {
-    /// Original (sparse) cluster id; snapshots list clusters in
-    /// ascending id order, mirroring `to_sketch`'s renumbering scan.
-    id: u32,
-    label: LabelId,
-    elem_count: u64,
-    depth: u32,
-    stats: Vec<(u32, EdgeStat)>,
-}
-
-/// An immutable copy of a live partition, decoupled from the mutable
-/// [`ClusterState`] so sketch finalization can run on another thread
-/// while the state continues merging (see `ts_build_sweep`).
-#[derive(Debug, Clone)]
-pub struct PartitionSnapshot {
-    labels: LabelTable,
-    clusters: Vec<SnapshotCluster>,
-    /// Original id of the cluster containing the document root.
-    root: u32,
-    squared_error: f64,
-}
-
-impl PartitionSnapshot {
-    /// Materializes the snapshot as a [`TreeSketch`] — the exact work
-    /// `ClusterState::to_sketch` performs, deferred: dense renumbering
-    /// (ascending original ids, so the numbering is identical), centroid
-    /// edges `sum / N`, and per-node edge sorting.
-    ///
-    /// # Panics
-    ///
-    /// If the snapshot references a cluster id with no alive cluster —
-    /// impossible for snapshots taken by [`ClusterState::snapshot`].
-    pub fn finalize(&self) -> TreeSketch {
-        let _span = axqa_obs::span_with("TSBUILD.finalize", "clusters", self.clusters.len() as u64);
-        let mut dense: FxHashMap<u32, u32> = FxHashMap::default();
-        for (pos, cluster) in self.clusters.iter().enumerate() {
-            dense.insert(cluster.id, axqa_xml::dense_id(pos));
-        }
-        let dense_of = |id: u32| -> u32 {
-            match dense.get(&id) {
-                Some(&d) => d,
-                None => panic!("snapshot references cluster {id} that is not alive"),
-            }
-        };
-        let nodes: Vec<TsNode> = self
-            .clusters
-            .iter()
-            .map(|cluster| {
-                let n = cluster.elem_count as f64;
-                let mut edges: Vec<(TsNodeId, f64)> = cluster
-                    .stats
-                    .iter()
-                    .map(|&(t, stat)| (TsNodeId(dense_of(t)), stat.sum / n))
-                    .collect();
-                edges.sort_unstable_by_key(|&(t, _)| t);
-                TsNode {
-                    label: cluster.label,
-                    count: cluster.elem_count,
-                    edges,
-                    depth: cluster.depth,
-                }
-            })
-            .collect();
-        let root = TsNodeId(dense_of(self.root));
-        TreeSketch::from_parts(self.labels.clone(), nodes, root, self.squared_error)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1511,44 +1410,6 @@ mod tests {
             l_node.edges.iter().any(|&(t, _)| sketch.node(t).label == l),
             "expected an l → l self-loop"
         );
-    }
-
-    /// snapshot().finalize() must reproduce to_sketch() exactly, at
-    /// every stage of a build (it is the deferred form of the same
-    /// computation, down to the dense renumbering).
-    #[test]
-    fn snapshot_finalize_matches_to_sketch() {
-        let doc = parse_document(
-            "<r><a><b/><b/><c/></a><a><b/><c/><c/></a><a><b/><b/><b/></a>\
-             <d><a><b/></a></d><d><a><c/></a></d></r>",
-        )
-        .unwrap();
-        let stable = build_stable(&doc);
-        let mut state = ClusterState::new(&stable, SizeModel::TREESKETCH);
-        loop {
-            let direct = state.to_sketch();
-            let deferred = state.snapshot().finalize();
-            assert_eq!(direct.len(), deferred.len());
-            assert_eq!(direct.root(), deferred.root());
-            assert!((direct.squared_error() - deferred.squared_error()).abs() < 1e-12);
-            for (a, b) in direct.nodes().iter().zip(deferred.nodes()) {
-                assert_eq!(a, b);
-            }
-            // Merge any same-label pair; stop at the label-split floor.
-            let ids: Vec<u32> = state.alive_ids().collect();
-            let pair = ids.iter().enumerate().find_map(|(i, &a)| {
-                ids[i + 1..]
-                    .iter()
-                    .find(|&&b| state.cluster(a).label == state.cluster(b).label)
-                    .map(|&b| (a, b))
-            });
-            match pair {
-                Some((a, b)) => {
-                    state.apply_merge(a, b);
-                }
-                None => break,
-            }
-        }
     }
 
     /// evaluate_merge must be side-effect free.

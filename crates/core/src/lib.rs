@@ -63,7 +63,7 @@ pub mod values;
 pub use build::{
     create_candidate_pool, try_ts_build, ts_build, ts_build_eager, BuildConfig, BuildReport,
 };
-pub use cluster::{ClusterState, PartitionSnapshot, ScoreScratch};
+pub use cluster::{ClusterState, ScoreScratch};
 pub use error::AxqaError;
 pub use eval::{
     eval_query, eval_query_with_scratch, eval_query_with_values, EvalConfig, EvalScratch,

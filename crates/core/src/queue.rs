@@ -28,8 +28,8 @@
 //! candidates' total order (`f64::total_cmp` on the ratio, ties on the
 //! pair ids) then forces the identical pop sequence. The merge
 //! sequence, `squared_error`, and final sketch bytes are therefore
-//! bitwise equal to the eager reference at every budget and thread
-//! count — `tests/proptest_lazy_queue.rs` pins exactly that.
+//! bitwise equal to the eager reference at every budget —
+//! `tests/proptest_lazy_queue.rs` pins exactly that.
 
 use crate::cluster::{ClusterState, ScoreScratch};
 use axqa_xml::fxhash::FxHashMap;
@@ -56,8 +56,7 @@ impl MergeCandidate {
     /// Total order all heaps rank by: ratio via `f64::total_cmp` (a NaN
     /// ratio from a degenerate 0/0 merge delta sorts *last*, never
     /// scrambling the heap), ties broken on the pair ids so the order —
-    /// and with it the parallel/serial merge of bounded pools — is
-    /// deterministic.
+    /// and with it the bounded `CREATEPOOL` pool — is deterministic.
     pub fn order_key(&self, other: &Self) -> Ordering {
         self.ratio
             .total_cmp(&other.ratio)

@@ -46,7 +46,7 @@ static ALLOC: axqa_obs::alloc::CountingAlloc = axqa_obs::alloc::CountingAlloc;
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Enough same-label classes per level for a long merge loop with many
-/// lazy re-scorings (same shape as the PR-2 parity tests).
+/// lazy re-scorings (same shape as `tests/obs_counters.rs`).
 fn many_class_doc() -> axqa_xml::Document {
     let mut src = String::from("<r>");
     for k in 1..=40 {
@@ -73,8 +73,7 @@ fn merge_loop_kernels_allocate_nothing_mid_loop() {
     );
     let doc = many_class_doc();
     let stable = build_stable(&doc);
-    let mut config = BuildConfig::with_budget(1); // tightest budget: maximal merging
-    config.threads = 1;
+    let config = BuildConfig::with_budget(1); // tightest budget: maximal merging
 
     let recorder = axqa_obs::Recorder::new();
     recorder.install();

@@ -1,7 +1,6 @@
 //! `bench baseline` — wall-clock baseline for the three hot paths:
 //! stable-summary construction, TSBUILD compression at the paper's
-//! budgets (serial vs parallel candidate scoring), and EVALQUERY over
-//! the workload. Writes a `BENCH_core.json` snapshot (medians over N
+//! budgets, and EVALQUERY over the workload. Writes a `BENCH_core.json` snapshot (medians over N
 //! runs plus machine info) so perf regressions are visible in review
 //! diffs without a CI-enforced threshold.
 
@@ -27,8 +26,6 @@ pub struct BaselineConfig {
     pub runs: usize,
     /// TSBUILD budgets in KB (the paper sweeps 10–50).
     pub budgets_kb: Vec<usize>,
-    /// Worker threads for the parallel TSBUILD variant (0 = all cores).
-    pub threads: usize,
     /// RNG seed for the document and workload.
     pub seed: u64,
     /// Output path of the JSON snapshot.
@@ -50,7 +47,6 @@ impl Default for BaselineConfig {
             queries: 200,
             runs: 3,
             budgets_kb: vec![10, 20, 30, 40, 50],
-            threads: 0,
             seed: 0x5EED,
             out: std::path::PathBuf::from("BENCH_core.json"),
             trace_out: None,
@@ -91,22 +87,13 @@ pub fn parse_dataset(name: &str) -> Option<Dataset> {
     }
 }
 
-/// One TSBUILD budget's timings.
+/// One TSBUILD budget's timing.
 #[derive(Debug, Clone)]
 pub struct TsBuildRow {
     /// Budget in KB.
     pub budget_kb: usize,
-    /// Median wall time with `threads = 1` (today's serial path).
-    pub serial_ms: f64,
-    /// Median wall time with the configured thread count.
-    pub parallel_ms: f64,
-    /// Thread count the parallel variant actually used.
-    pub threads: usize,
-    /// `serial_ms / parallel_ms` — NaN (JSON `null`) when the parallel
-    /// variant ran with one thread: a 1-thread run compares serial
-    /// against itself and a ≈1 "speedup" would be a measurement
-    /// artifact, not a result (README "Benchmarks" caveat).
-    pub speedup: f64,
+    /// Median wall time of one build.
+    pub ms: f64,
 }
 
 /// The full baseline snapshot (see [`BaselineReport::to_json`]).
@@ -129,10 +116,6 @@ pub struct BaselineReport {
     /// p95 of individual query times (µs) across all timed runs — the
     /// tail the mean hides.
     pub eval_per_query_us_p95: f64,
-    /// Threads the parallel TSBUILD variant actually ran with
-    /// (machine-info provenance: `threads` in the config block is the
-    /// *requested* count, 0 meaning "all cores").
-    pub threads_used: usize,
     /// Host CPU count at measurement time.
     pub cpus: usize,
     /// Whether the process's global allocator is the counting one —
@@ -185,8 +168,8 @@ fn measure(runs: usize, mut f: impl FnMut() -> f64) -> f64 {
 }
 
 /// Runs the full baseline: document generation (untimed), stable build,
-/// TSBUILD serial vs parallel at every budget, and EVALQUERY over the
-/// workload against the first-budget sketch.
+/// TSBUILD at every budget, and EVALQUERY over the workload against the
+/// first-budget sketch.
 pub fn run_baseline(config: &BaselineConfig) -> BaselineReport {
     // The baseline drives its own recorder: all TSBUILD/EVALQUERY spans
     // and counters of the run land in the embedded `metrics` block and
@@ -211,14 +194,22 @@ pub fn run_baseline(config: &BaselineConfig) -> BaselineReport {
         },
     );
 
-    let mut ts_rows = Vec::new();
-    for &budget_kb in &config.budgets_kb {
-        ts_rows.push(bench_ts_build(config, &stable, budget_kb));
-    }
+    let ts_rows = config
+        .budgets_kb
+        .iter()
+        .map(|&budget_kb| {
+            let build_config = BuildConfig::with_budget(kb(budget_kb));
+            TsBuildRow {
+                budget_kb,
+                ms: measure(config.runs, || {
+                    time_ms(|| ts_build(&stable, &build_config)).0
+                }),
+            }
+        })
+        .collect();
 
     let eval = bench_eval_query(config, &stable, &workload);
     axqa_obs::uninstall();
-    let threads_used = ts_rows.iter().map(|row| row.threads).max().unwrap_or(1);
     BaselineReport {
         config: config.clone(),
         stable_build_ms,
@@ -228,37 +219,9 @@ pub fn run_baseline(config: &BaselineConfig) -> BaselineReport {
         eval_per_query_us: eval.per_query_us,
         eval_per_query_us_p50: eval.p50_us,
         eval_per_query_us_p95: eval.p95_us,
-        threads_used,
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         alloc_tracked: axqa_obs::alloc::counting_allocator_active(),
         metrics: recorder.drain(),
-    }
-}
-
-fn bench_ts_build(config: &BaselineConfig, stable: &StableSummary, budget_kb: usize) -> TsBuildRow {
-    let mut serial_config = BuildConfig::with_budget(kb(budget_kb));
-    serial_config.threads = 1;
-    let mut parallel_config = BuildConfig::with_budget(kb(budget_kb));
-    parallel_config.threads = config.threads;
-    let threads = parallel_config.effective_threads();
-    let serial_ms = measure(config.runs, || {
-        time_ms(|| ts_build(stable, &serial_config)).0
-    });
-    let parallel_ms = measure(config.runs, || {
-        time_ms(|| ts_build(stable, &parallel_config)).0
-    });
-    TsBuildRow {
-        budget_kb,
-        serial_ms,
-        parallel_ms,
-        threads,
-        // Single-threaded "parallel" runs have no parallelism to
-        // measure; json_f renders the NaN as null.
-        speedup: if threads <= 1 {
-            f64::NAN
-        } else {
-            serial_ms / parallel_ms.max(1e-9)
-        },
     }
 }
 
@@ -322,8 +285,6 @@ fn json_f(value: f64) -> String {
 }
 
 /// Span names whose allocation profile the baseline reports per phase.
-/// `TSBUILD.finalize` is deliberately absent: that span lives on the
-/// sweep/snapshot path (`finalize_snapshots`), not the bench path.
 const ALLOC_PHASE_SPANS: &[&str] = &[
     "BUILDSTABLE",
     "TSBUILD",
@@ -337,24 +298,11 @@ const ALLOC_PHASE_SPANS: &[&str] = &[
 ];
 
 impl BaselineReport {
-    /// Percentage of the parallel regions' thread-capacity that was
-    /// spent busy: `100 · busy_us / capacity_us` (0 when no parallel
-    /// region ran).
-    pub fn utilization_pct(&self) -> f64 {
-        let busy = self.metrics.counter("parallel.busy_us");
-        let capacity = self.metrics.counter("parallel.capacity_us");
-        if capacity == 0 {
-            0.0
-        } else {
-            100.0 * busy as f64 / capacity as f64
-        }
-    }
-
-    /// Serializes the snapshot as the `axqa-bench-baseline/3` JSON
-    /// document (hand-rolled — the workspace carries no serde). v3 adds
-    /// the `allocation` and `parallel` blocks and drops the dead
-    /// `finalize_us` phase (the `TSBUILD.finalize` span is sweep-only
-    /// and never fires on the bench path); v2 added the
+    /// Serializes the snapshot as the `axqa-bench-baseline/4` JSON
+    /// document (hand-rolled — the workspace carries no serde). v4
+    /// times one TSBUILD per budget (`ms`) in place of the
+    /// serial/parallel pair and drops the `parallel` block and the
+    /// thread counts; v3 added the `allocation` block; v2 added the
     /// `ts_build_phases` span breakdown and the per-query p50/p95.
     pub fn to_json(&self) -> String {
         let budgets: Vec<String> = self
@@ -368,15 +316,9 @@ impl BaselineReport {
             .iter()
             .map(|row| {
                 format!(
-                    concat!(
-                        "    {{\"budget_kb\": {}, \"serial_ms\": {}, ",
-                        "\"parallel_ms\": {}, \"threads\": {}, \"speedup\": {}}}"
-                    ),
+                    "    {{\"budget_kb\": {}, \"ms\": {}}}",
                     row.budget_kb,
-                    json_f(row.serial_ms),
-                    json_f(row.parallel_ms),
-                    row.threads,
-                    json_f(row.speedup),
+                    json_f(row.ms),
                 )
             })
             .collect();
@@ -393,15 +335,14 @@ impl BaselineReport {
             .collect();
         format!(
             r#"{{
-  "schema": "axqa-bench-baseline/3",
-  "machine": {{"os": "{os}", "arch": "{arch}", "cpus": {cpus}, "threads_used": {threads_used}}},
+  "schema": "axqa-bench-baseline/4",
+  "machine": {{"os": "{os}", "arch": "{arch}", "cpus": {cpus}}},
   "config": {{
     "dataset": "{dataset}",
     "elements": {elements},
     "queries": {queries},
     "runs": {runs},
     "budgets_kb": [{budgets}],
-    "threads": {threads},
     "seed": {seed}
   }},
   "stable_build_ms": {stable},
@@ -422,26 +363,17 @@ impl BaselineReport {
 {alloc_phases}
     }}
   }},
-  "parallel": {{
-    "regions": {par_regions},
-    "busy_us": {par_busy},
-    "wall_us": {par_wall},
-    "capacity_us": {par_capacity},
-    "utilization_pct": {par_util}
-  }},
   "eval_query": {{"queries": {eq}, "total_ms": {et}, "per_query_us": {epq}, "per_query_us_p50": {p50}, "per_query_us_p95": {p95}}},
   "metrics": {metrics}}}
 "#,
             os = std::env::consts::OS,
             arch = std::env::consts::ARCH,
             cpus = self.cpus,
-            threads_used = self.threads_used,
             dataset = self.config.dataset.name(),
             elements = self.config.elements,
             queries = self.config.queries,
             runs = self.config.runs,
             budgets = budgets.join(", "),
-            threads = self.config.threads,
             seed = self.config.seed,
             stable = json_f(self.stable_build_ms),
             ts_rows = ts_rows.join(",\n"),
@@ -453,11 +385,6 @@ impl BaselineReport {
             ph_sketch = span_total_us(&self.metrics, "TSBUILD.to_sketch"),
             alloc_tracked = self.alloc_tracked,
             alloc_phases = alloc_phases.join(",\n"),
-            par_regions = self.metrics.counter("parallel.regions"),
-            par_busy = self.metrics.counter("parallel.busy_us"),
-            par_wall = self.metrics.counter("parallel.wall_us"),
-            par_capacity = self.metrics.counter("parallel.capacity_us"),
-            par_util = json_f(self.utilization_pct()),
             eq = self.eval_queries,
             et = json_f(self.eval_total_ms),
             epq = json_f(self.eval_per_query_us),
@@ -492,12 +419,9 @@ impl BaselineReport {
         );
         for row in &self.ts_build {
             out.push_str(&format!(
-                "  ts_build {}KB: serial {} ms, parallel({}) {} ms, speedup {}\n",
+                "  ts_build {}KB: {} ms\n",
                 row.budget_kb,
-                json_f(row.serial_ms),
-                row.threads,
-                json_f(row.parallel_ms),
-                json_f(row.speedup),
+                json_f(row.ms),
             ));
         }
         out.push_str(&format!(
@@ -526,29 +450,6 @@ impl BaselineReport {
         } else {
             out.push_str(
                 "  allocation: untracked (binary did not install the counting allocator)\n",
-            );
-        }
-        if self.metrics.counter("parallel.regions") > 0 {
-            out.push_str(&format!(
-                "  parallel: {} regions, utilization {}% ({} us busy / {} us capacity)\n",
-                self.metrics.counter("parallel.regions"),
-                json_f(self.utilization_pct()),
-                self.metrics.counter("parallel.busy_us"),
-                self.metrics.counter("parallel.capacity_us"),
-            ));
-        }
-        // Provenance honesty: a speedup≈1 on a starved host is a
-        // measurement artifact, not a perf regression — say so instead
-        // of letting the snapshot mislead a review diff.
-        if self.cpus == 1 {
-            out.push_str(
-                "  warning: single-CPU host — serial vs parallel TSBUILD cannot \
-                 diverge here; speedup columns are not meaningful\n",
-            );
-        } else if self.threads_used <= 1 {
-            out.push_str(
-                "  warning: parallel variant ran with 1 thread — speedup columns \
-                 compare serial against itself\n",
             );
         }
         out
@@ -586,10 +487,9 @@ mod tests {
         assert!(report.eval_queries > 0);
         let json = report.to_json();
         for key in [
-            "\"schema\": \"axqa-bench-baseline/3\"",
+            "\"schema\": \"axqa-bench-baseline/4\"",
             "\"machine\"",
             "\"cpus\"",
-            "\"threads_used\"",
             "\"stable_build_ms\"",
             "\"ts_build\"",
             "\"ts_build_phases\"",
@@ -600,12 +500,10 @@ mod tests {
             "\"allocation\"",
             "\"tracked\"",
             "\"TSBUILD.merge_loop.score\": {\"allocs\"",
-            "\"parallel\"",
-            "\"utilization_pct\"",
             "\"eval_query\"",
             "\"per_query_us_p50\"",
             "\"per_query_us_p95\"",
-            "\"speedup\"",
+            "{\"budget_kb\": 2, \"ms\": ",
             "\"metrics\"",
             "\"schema\": \"axqa-obs/2\"",
             "\"tsbuild.merges\"",
@@ -613,15 +511,17 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        // v3 dropped the dead sweep-only phase from the bench document.
-        assert!(!json.contains("\"finalize_us\""));
+        // TSBUILD is sequential: no thread counts or speedups to report.
+        for gone in ["\"parallel\"", "\"speedup\"", "\"threads"] {
+            assert!(!json.contains(gone), "stale {gone} in {json}");
+        }
         // The embedded snapshot saw the run's work.
         assert!(report.metrics.counter("tsbuild.merges") > 0);
         assert!(report.metrics.span_count("EVALQUERY") > 0);
         assert!(report.metrics.span_count("BUILDSTABLE") > 0);
         // The scratch-reuse discipline held: after CREATEPOOL warms the
-        // per-worker workspaces, candidate scoring reuses them instead
-        // of growing fresh arrays.
+        // build's workspace, candidate scoring reuses it instead of
+        // growing fresh arrays.
         assert!(report.metrics.counter("tsbuild.scratch_reuses") > 0);
         assert!(report.metrics.counter("tsbuild.stat_bsearch") > 0);
         // The lazy merge queue converted stale re-pushes into memo hits.
@@ -633,23 +533,6 @@ mod tests {
         let on_disk = std::fs::read_to_string(&config.out).unwrap();
         assert_eq!(on_disk, json);
         let _ = std::fs::remove_file(&config.out);
-    }
-
-    #[test]
-    fn single_threaded_baseline_emits_null_speedup() {
-        let _gate = RECORDER_GATE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut config = tiny();
-        config.threads = 1;
-        let report = run_baseline(&config);
-        assert_eq!(report.threads_used, 1);
-        for row in &report.ts_build {
-            assert_eq!(row.threads, 1);
-            assert!(row.speedup.is_nan(), "1-thread speedup must be null");
-        }
-        let json = report.to_json();
-        assert!(json.contains("\"speedup\": null"), "{json}");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   and can be demoted to warnings wholesale (`--warn-only-time`,
 //!   which CI uses until a quiet multi-core reference host exists);
 //! * **determinism counters** (`tsbuild.merges`, …) are exact by
-//!   construction — the TSBUILD merge sequence is thread-count
-//!   independent (PR 2) — so any difference is a real behavioral
-//!   change and always fails, never warns;
+//!   construction — the sequential TSBUILD merge sequence is a pure
+//!   function of the document and the config — so any difference is a
+//!   real behavioral change and always fails, never warns;
 //! * **ratchet counters** (`tsbuild.reevals`) measure work whose
 //!   *outcome* is pinned by the determinism set but whose *amount* is
 //!   an optimization target (the lazy merge queue, DESIGN.md §13,
@@ -21,9 +21,7 @@
 //!
 //! Comparing runs of different configurations (dataset, size, seed,
 //! budgets, run count) is meaningless for the exact checks, so a config
-//! mismatch fails fast before any metric is looked at. Thread count is
-//! the one knob allowed to differ: counter parity across thread counts
-//! is itself the determinism invariant.
+//! mismatch fails fast before any metric is looked at.
 
 use crate::json::{parse, Json};
 
@@ -73,7 +71,7 @@ impl Status {
 /// One compared metric.
 #[derive(Debug, Clone)]
 pub struct Check {
-    /// Dotted metric path, e.g. `ts_build[10kb].serial_ms`.
+    /// Dotted metric path, e.g. `ts_build[10kb].ms`.
     pub metric: String,
     /// `time` (threshold), `counter` (exact), `ratchet` (must not
     /// increase), or `config` (equality).
@@ -97,11 +95,11 @@ pub struct DiffReport {
     pub error: Option<String>,
 }
 
-/// Determinism counters: identical across thread counts and hosts by
-/// construction (PR 2's order-identical parallel scoring), so they are
-/// compared exactly. Thread-shape-dependent counters
-/// (`tsbuild.scratch_reuses`, `tsbuild.stat_bsearch`, `parallel.*`)
-/// are deliberately absent.
+/// Determinism counters: identical across hosts by construction (the
+/// merge sequence and the query answers depend only on the document
+/// and the config), so they are compared exactly. Scratch-bookkeeping
+/// counters (`tsbuild.scratch_reuses`, `tsbuild.stat_bsearch`) are
+/// deliberately absent.
 pub const DETERMINISM_COUNTERS: &[&str] = &[
     "tsbuild.merges",
     "tsbuild.pool_rebuilds",
@@ -110,8 +108,8 @@ pub const DETERMINISM_COUNTERS: &[&str] = &[
     "evalquery.embeddings_expanded",
 ];
 
-/// Ratcheting counters: deterministic for a given implementation (so
-/// still thread-count invariant), but *reducing* them is the point of
+/// Ratcheting counters: deterministic for a given implementation, but
+/// *reducing* them is the point of
 /// perf work — `tsbuild.reevals` dropped by design when the lazy merge
 /// queue started serving stale pops from its score memo. An increase
 /// fails; a decrease is an improvement and passes. (The squared-error
@@ -122,9 +120,7 @@ pub const RATCHET_COUNTERS: &[&str] = &["tsbuild.reevals"];
 /// Config keys that must match for two snapshots to be comparable at
 /// all (they determine the workload, hence every exact counter).
 /// `runs` is included because the recorder accumulates counters across
-/// timed runs, so counter totals scale linearly with it; `threads` is
-/// excluded on purpose — counter parity across thread counts is exactly
-/// the determinism claim the gate checks.
+/// timed runs, so counter totals scale linearly with it.
 const CONFIG_KEYS: &[&str] = &[
     "dataset",
     "elements",
@@ -258,14 +254,12 @@ fn compare(old: &Json, new: &Json, report: &mut DiffReport) {
         else {
             continue; // config equality already guaranteed same budgets
         };
-        for field in ["serial_ms", "parallel_ms"] {
-            push_time_pair(
-                old_row.pointer(field),
-                new_row.pointer(field),
-                &format!("ts_build[{budget}kb].{field}"),
-                report,
-            );
-        }
+        push_time_pair(
+            old_row.pointer("ms"),
+            new_row.pointer("ms"),
+            &format!("ts_build[{budget}kb].ms"),
+            report,
+        );
     }
     for counter in DETERMINISM_COUNTERS {
         // Counter names contain dots ("tsbuild.merges" is one key, not
@@ -497,17 +491,17 @@ impl DiffReport {
 mod tests {
     use super::*;
 
-    fn snapshot(merges: u64, serial_ms: f64) -> String {
+    fn snapshot(merges: u64, build_ms: f64) -> String {
         format!(
             r#"{{
-  "schema": "axqa-bench-baseline/3",
-  "machine": {{"os": "linux", "arch": "x86_64", "cpus": 1, "threads_used": 2}},
+  "schema": "axqa-bench-baseline/4",
+  "machine": {{"os": "linux", "arch": "x86_64", "cpus": 1}},
   "config": {{"dataset": "xmark", "elements": 1000, "queries": 10, "runs": 1,
-              "budgets_kb": [2, 4], "threads": 2, "seed": 24301}},
+              "budgets_kb": [2, 4], "seed": 24301}},
   "stable_build_ms": 1.5,
   "ts_build": [
-    {{"budget_kb": 2, "serial_ms": {serial_ms}, "parallel_ms": 4.0, "threads": 2, "speedup": 1.0}},
-    {{"budget_kb": 4, "serial_ms": 6.0, "parallel_ms": 6.0, "threads": 2, "speedup": 1.0}}
+    {{"budget_kb": 2, "ms": {build_ms}}},
+    {{"budget_kb": 4, "ms": 6.0}}
   ],
   "ts_build_phases": {{"ts_build_us": 900, "create_pool_us": 300, "merge_loop_us": 400,
                        "merge_loop_score_us": 200, "merge_loop_apply_us": 100,
@@ -586,9 +580,7 @@ mod tests {
             },
         );
         assert!(warn_only.passed());
-        assert!(warn_only
-            .render()
-            .contains("[warn] time ts_build[2kb].serial_ms"));
+        assert!(warn_only.render().contains("[warn] time ts_build[2kb].ms"));
         let loose = run_diff(
             old.to_str().unwrap(),
             new.to_str().unwrap(),
@@ -666,24 +658,6 @@ mod tests {
         let _ = std::fs::remove_file(&old);
         let _ = std::fs::remove_file(&new);
         let _ = std::fs::remove_file(&ancient);
-    }
-
-    #[test]
-    fn null_speedup_rows_are_tolerated() {
-        // Single-threaded baselines emit "speedup": null (there is no
-        // parallelism to measure); the diff must parse and compare such
-        // snapshots without tripping over the null.
-        let nulled = snapshot(100, 4.0).replace("\"speedup\": 1.0", "\"speedup\": null");
-        assert!(nulled.contains("\"speedup\": null"));
-        let path = write_tmp("null-speedup.json", &nulled);
-        let report = run_diff(
-            path.to_str().unwrap(),
-            path.to_str().unwrap(),
-            DiffConfig::default(),
-        );
-        assert!(report.error.is_none(), "{:?}", report.error);
-        assert!(report.passed(), "{}", report.render());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

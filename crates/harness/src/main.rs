@@ -11,7 +11,7 @@
 //!   all                 every experiment in order
 //!   bench baseline      wall-clock baseline snapshot (BENCH_core.json);
 //!                       options: --dataset NAME --elements N --queries N
-//!                       --runs N --budgets a,b,c --threads N --seed N
+//!                       --runs N --budgets a,b,c --seed N
 //!                       --out PATH --trace PATH --metrics PATH
 //!   bench diff OLD NEW  compare two baseline snapshots: ±8% noise
 //!                       threshold on time metrics (--time-pct N),
@@ -195,8 +195,8 @@ fn parse_experiment_args(args: &[String]) -> Result<(ExperimentConfig, ObsOutput
 
 fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     const BENCH_USAGE: &str = "usage: harness bench baseline [--dataset NAME] [--elements N] \
-                               [--queries N] [--runs N] [--budgets a,b,c] [--threads N] \
-                               [--seed N] [--out PATH] [--trace PATH] [--metrics PATH]\n\
+                               [--queries N] [--runs N] [--budgets a,b,c] [--seed N] \
+                               [--out PATH] [--trace PATH] [--metrics PATH]\n\
                                \x20      harness bench diff OLD NEW [--time-pct N] \
                                [--warn-only-time] [--out PATH]";
     let Some(sub) = args.first() else {
@@ -227,7 +227,6 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
             "--elements" => config.elements = parse("--elements", &value("--elements")?)?,
             "--queries" => config.queries = parse("--queries", &value("--queries")?)?,
             "--runs" => config.runs = parse("--runs", &value("--runs")?)?,
-            "--threads" => config.threads = parse("--threads", &value("--threads")?)?,
             "--seed" => config.seed = parse("--seed", &value("--seed")?)?,
             "--budgets" => config.budgets_kb = parse_budgets(&value("--budgets")?)?,
             "--out" => config.out = value("--out")?.into(),

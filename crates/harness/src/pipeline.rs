@@ -7,7 +7,6 @@ use axqa_eval::{evaluate, DocIndex, NestingTree};
 use axqa_query::TwigQuery;
 use axqa_synopsis::{build_stable, StableSummary};
 use axqa_xml::Document;
-use parking_lot::Mutex;
 
 /// Pipeline parameters.
 #[derive(Debug, Clone)]
@@ -143,9 +142,8 @@ impl Prepared {
 /// Index-parallel map: evaluates `f(0), …, f(n-1)` on `threads` scoped
 /// workers (work-stealing via an atomic cursor) and returns the results
 /// in index order. `threads <= 1` or `n <= 1` runs inline. This is the
-/// one fan-out primitive of the harness — exact ground truth, the
-/// per-budget/per-query experiment loops, and the bench baseline all go
-/// through it.
+/// one fan-out primitive of the harness — exact ground truth and the
+/// per-budget/per-query experiment loops go through it.
 pub fn parallel_map_indexed<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -175,37 +173,46 @@ where
         let mut state = init();
         return (0..n).map(|i| f(&mut state, i)).collect();
     }
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     let next = std::sync::atomic::AtomicUsize::new(0);
     // Utilization telemetry (DESIGN.md §12): region wall time vs summed
-    // per-worker busy time, same counters as the CREATEPOOL lanes.
+    // per-worker busy time.
     let region = axqa_obs::Stopwatch::start();
-    let scope_result = crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let busy = axqa_obs::Stopwatch::start();
-                let mut state = init();
-                let mut items = 0u64;
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    // Each worker returns the `(index, value)` pairs it computed; the
+    // pairs are put back in index order after the join, so no result
+    // slot is shared between threads.
+    let mut pairs: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let busy = axqa_obs::Stopwatch::start();
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    let mut items = 0u64;
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        done.push((i, f(&mut state, i)));
+                        items = items.saturating_add(1);
                     }
-                    let value = f(&mut state, i);
-                    results.lock()[i] = Some(value);
-                    items = items.saturating_add(1);
-                }
-                axqa_obs::counter("parallel.busy_us", busy.elapsed_us());
-                axqa_obs::observe("parallel.worker_items", items);
-                // Tail events land after the last span's eager flush;
-                // push them out before the scope joins past us.
-                axqa_obs::flush();
-            });
-        }
+                    axqa_obs::counter("parallel.busy_us", busy.elapsed_us());
+                    axqa_obs::observe("parallel.worker_items", items);
+                    // Tail events land after the last span's eager flush;
+                    // push them out before the scope joins past us.
+                    axqa_obs::flush();
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| match worker.join() {
+                Ok(done) => done,
+                Err(panic) => std::panic::resume_unwind(panic),
+            })
+            .collect()
     });
-    if scope_result.is_err() {
-        panic!("parallel map worker panicked");
-    }
     let wall_us = region.elapsed_us();
     axqa_obs::counter("parallel.regions", 1);
     axqa_obs::counter("parallel.wall_us", wall_us);
@@ -213,14 +220,8 @@ where
         "parallel.capacity_us",
         wall_us.saturating_mul(threads as u64),
     );
-    results
-        .into_inner()
-        .into_iter()
-        .map(|slot| match slot {
-            Some(value) => value,
-            None => unreachable!("every index computed"),
-        })
-        .collect()
+    pairs.sort_unstable_by_key(|pair| pair.0);
+    pairs.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Evaluates the workload exactly, in parallel.

@@ -3,10 +3,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 //! Dynamic checks for the `pipeline::parallel_map_indexed_with` hot-path
-//! root (ISSUE 9): worker-item spans stay alloc-free — the driver's own
-//! queue/result allocations are granted and attributed *outside* the
-//! item spans — and every parallel region reports the utilization
-//! counters the bench baseline aggregates into `parallel.*`.
+//! root: worker-item spans stay alloc-free — the driver's own
+//! handle/result allocations are granted and attributed *outside* the
+//! item spans — and every parallel region reports its `parallel.*`
+//! utilization counters.
 
 use axqa_harness::pipeline::parallel_map_indexed_with;
 
@@ -38,7 +38,7 @@ fn parallel_worker_spans_are_alloc_free_and_report_utilization() {
     assert_eq!(out.len(), ITEMS);
     assert_eq!(snapshot.span_count("test.worker_item"), ITEMS);
 
-    // The driver allocates (work queue, result vector — granted via
+    // The driver allocates (worker handles, result lists — granted via
     // [[alloc-ok]]), but exclusive attribution keeps those events out
     // of the item spans: the measured loop body is alloc-free.
     assert_eq!(snapshot.span_alloc_count("test.worker_item"), 0);

@@ -326,6 +326,7 @@ mod tests {
                 "crates/core/src/lib.rs",
                 "pub fn added() {}\npub struct Kept;\n",
             )],
+            references: Vec::new(),
             dep_edges: Vec::new(),
             panic_surface_snapshot: None,
             api_surface_snapshot: Some(
@@ -354,6 +355,7 @@ mod tests {
     fn missing_snapshot_is_one_actionable_finding() {
         let ws = Workspace {
             files: Vec::new(),
+            references: Vec::new(),
             dep_edges: Vec::new(),
             api_surface_snapshot: None,
             panic_surface_snapshot: None,
@@ -372,6 +374,7 @@ mod tests {
     fn render_round_trips_through_parse() {
         let ws = Workspace {
             files: vec![file("crates/core/src/lib.rs", "pub fn f() {}\n")],
+            references: Vec::new(),
             dep_edges: Vec::new(),
             api_surface_snapshot: None,
             panic_surface_snapshot: None,

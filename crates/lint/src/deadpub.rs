@@ -12,7 +12,9 @@
 //! function pointers (`map(score_fn)`), re-exports (`pub use`),
 //! doc examples, and bench/test harness code all mention the name as
 //! an identifier or in a doc comment, so anything with a textual
-//! reference is presumed live. Only names that appear *nowhere* except
+//! reference is presumed live. The pass reads the `src/` trees plus
+//! every package's `tests/`, `benches/` and `examples/`
+//! ([`Workspace::references`]). Only names that appear *nowhere* except
 //! their own `fn` definition are findings — a deliberately
 //! high-precision, low-recall trade.
 //!
@@ -69,7 +71,7 @@ impl Rule for DeadPub {
         // comment/doc-comment containing it, marks the name referenced.
         // Test-masked tokens count — a fn only tests exercise is live.
         let mut referenced: Vec<bool> = vec![false; candidates.len()];
-        for file in &workspace.files {
+        for file in workspace.files.iter().chain(&workspace.references) {
             for (t, token) in file.tokens.iter().enumerate() {
                 match token.kind {
                     TokenKind::Ident => {
@@ -137,6 +139,7 @@ mod tests {
                     )
                 })
                 .collect(),
+            references: Vec::new(),
             dep_edges: vec![("axqa-core".to_string(), Vec::new())],
             api_surface_snapshot: None,
             panic_surface_snapshot: None,
@@ -192,6 +195,24 @@ mod tests {
              pub fn tested() {}\n#[cfg(test)]\nmod tests {\n  fn t() { tested(); entry(); }\n}\n",
         )]);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn integration_test_references_count_as_live() {
+        let mut ws = workspace(&[(
+            "crates/core/src/a.rs",
+            "pub fn probed() {}\npub fn orphan() {}\n",
+        )]);
+        ws.references.push(SourceFile::new(
+            "crates/core/tests/probe.rs".to_string(),
+            "axqa-core".to_string(),
+            false,
+            "#[test]\nfn t() { axqa_core::a::probed(); }\n".to_string(),
+        ));
+        let mut findings = Vec::new();
+        DeadPub.check_workspace(&ws, &mut findings);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("::orphan`"));
     }
 
     #[test]

@@ -185,8 +185,9 @@ pub fn run(root: &Path, update: UpdateFlags) -> Result<Outcome, String> {
 }
 
 /// Collects every workspace source file (crate `src/` trees plus the
-/// umbrella root `src/`, vendor excluded by construction), the
-/// manifest dependency edges, and the API-surface snapshot.
+/// umbrella root `src/`, vendor excluded by construction), the test,
+/// bench and example sources as reference-only files, the manifest
+/// dependency edges, and the API-surface snapshot.
 pub fn collect_workspace(root: &Path) -> Result<Workspace, String> {
     let mut packages: Vec<(String, PathBuf, Vec<String>)> = Vec::new();
 
@@ -227,6 +228,7 @@ pub fn collect_workspace(root: &Path) -> Result<Workspace, String> {
         .collect();
 
     let mut files = Vec::new();
+    let mut references = Vec::new();
     {
         let _span = axqa_obs::span("lint.tokenize");
         for (name, dir, _) in &packages {
@@ -234,8 +236,15 @@ pub fn collect_workspace(root: &Path) -> Result<Workspace, String> {
             if src.is_dir() {
                 collect_rs_files(root, &src, name, &mut files)?;
             }
+            for sub in ["tests", "benches", "examples"] {
+                let extra = dir.join(sub);
+                if extra.is_dir() {
+                    collect_rs_files(root, &extra, name, &mut references)?;
+                }
+            }
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
+        references.sort_by(|a, b| a.rel.cmp(&b.rel));
     }
 
     let api_surface_snapshot = read_optional(&root.join(api_surface::SNAPSHOT_PATH))?;
@@ -245,6 +254,7 @@ pub fn collect_workspace(root: &Path) -> Result<Workspace, String> {
 
     Ok(Workspace {
         files,
+        references,
         dep_edges,
         api_surface_snapshot,
         panic_surface_snapshot,

@@ -674,6 +674,7 @@ mod tests {
     ) -> Workspace {
         Workspace {
             files: files(sources),
+            references: Vec::new(),
             dep_edges: vec![
                 ("axqa-core".to_string(), Vec::new()),
                 ("axqa-other".to_string(), Vec::new()),

@@ -163,6 +163,11 @@ impl SourceFile {
 pub struct Workspace {
     /// Every collected source file, sorted by path.
     pub files: Vec<SourceFile>,
+    /// Test, bench and example sources (`tests/`, `benches/` and
+    /// `examples/` of every package), sorted by path. No rule checks
+    /// them; they only count as textual references, so a `pub fn`
+    /// exercised solely by an integration test is not dead.
+    pub references: Vec<SourceFile>,
     /// `(package name, internal [dependencies] edges)` per workspace
     /// crate, from the crate manifests (dev-dependencies excluded —
     /// cargo already forbids dev-cycles that break builds, and tests

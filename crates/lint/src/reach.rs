@@ -313,6 +313,7 @@ mod tests {
     fn workspace(sources: &[(&str, &str)], snapshot: Option<&str>) -> Workspace {
         Workspace {
             files: files(sources),
+            references: Vec::new(),
             dep_edges: Vec::new(),
             api_surface_snapshot: None,
             panic_surface_snapshot: snapshot.map(str::to_string),

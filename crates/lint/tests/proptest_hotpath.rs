@@ -107,6 +107,7 @@ fn build(spec: &GenWorkspace, perm: &[usize]) -> Workspace {
         .collect();
     Workspace {
         files: perm.iter().map(|&fi| file_of(fi)).collect(),
+        references: Vec::new(),
         dep_edges: vec![
             ("axqa-core".to_string(), vec!["axqa-eval".to_string()]),
             ("axqa-eval".to_string(), Vec::new()),

@@ -15,8 +15,8 @@
 //! suspended on the thread, so observer cost is attributed to *no*
 //! span: a mid-loop buffer flush cannot pollute the hot-path span that
 //! happens to be open around it.
-//! Worker threads in this workspace are scoped (`crossbeam::scope` /
-//! `std::thread::scope`) and therefore exit — running their flush —
+//! Worker threads in this workspace are scoped (`std::thread::scope`)
+//! and therefore exit — running their flush —
 //! before the spawning code can call [`Recorder::drain`], so a drain
 //! observes every worker's events. Timestamps are microseconds on a
 //! process-wide monotonic epoch, so spans from different threads share

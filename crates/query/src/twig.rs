@@ -96,11 +96,6 @@ impl TwigQuery {
         self.nodes.len() + 1
     }
 
-    /// Whether the query is just `q0` (matches only the document root).
-    pub fn is_trivial(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The [`QueryNode`] of a non-root variable.
     ///
     /// # Panics
@@ -127,11 +122,6 @@ impl TwigQuery {
             .enumerate()
             .filter(move |(_, n)| n.parent == var)
             .map(|(i, _)| QVar(u32::try_from(i + 1).unwrap_or(u32::MAX)))
-    }
-
-    /// Whether `var` has children.
-    pub fn has_children(&self, var: QVar) -> bool {
-        self.children(var).next().is_some()
     }
 
     /// Total number of path steps across all edges (a size measure used

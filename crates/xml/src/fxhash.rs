@@ -88,12 +88,6 @@ pub fn fx_map<K, V>() -> FxHashMap<K, V> {
     FxHashMap::default()
 }
 
-/// Convenience: an empty [`FxHashSet`].
-#[inline]
-pub fn fx_set<T>() -> FxHashSet<T> {
-    FxHashSet::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,6 +53,19 @@ impl XsBuildConfig {
     }
 }
 
+/// What the twig-XSketch refinement did and produced.
+#[derive(Debug, Clone)]
+pub struct XsBuildReport {
+    /// The constructed synopsis.
+    pub sketch: XSketch,
+    /// Refinement rounds run.
+    pub rounds: usize,
+    /// `xs_estimate_selectivity` calls over the sample workload: the
+    /// per-candidate query evaluation that Table 3 charges to
+    /// workload-driven construction and TSBUILD never performs.
+    pub sample_estimates: usize,
+}
+
 /// Builds a twig-XSketch within the byte budget, guided by a sample
 /// workload of `(query, exact selectivity)` pairs.
 pub fn build_xsketch(
@@ -60,6 +73,16 @@ pub fn build_xsketch(
     workload: &[(TwigQuery, f64)],
     config: &XsBuildConfig,
 ) -> XSketch {
+    build_xsketch_report(stable, workload, config).sketch
+}
+
+/// [`build_xsketch`], also reporting how much refinement and sample
+/// workload evaluation the build performed.
+pub fn build_xsketch_report(
+    stable: &StableSummary,
+    workload: &[(TwigQuery, f64)],
+    config: &XsBuildConfig,
+) -> XsBuildReport {
     let (mut partition, mut num_clusters) = XSketch::label_split_partition(stable);
     let parents = stable.parents();
     let sample: Vec<&(TwigQuery, f64)> =
@@ -73,10 +96,12 @@ pub fn build_xsketch(
             / axqa_synopsis::SizeModel::XSKETCH.bucket_bytes;
         XSketch::from_partition(stable, partition, n, buckets.max(n))
     };
+    let sample_estimates = std::cell::Cell::new(0usize);
     let score = |xs: &XSketch| -> f64 {
         let eval = XsEvalConfig::default();
         let mut total = 0.0;
         for (query, exact) in sample.iter().map(|p| (&p.0, p.1)) {
+            sample_estimates.set(sample_estimates.get().saturating_add(1));
             let est = xs_estimate_selectivity(xs, query, &eval);
             total += (exact - est).abs() / est.max(sanity);
         }
@@ -126,7 +151,11 @@ pub fn build_xsketch(
             stalls += 1;
         }
     }
-    current
+    XsBuildReport {
+        sketch: current,
+        rounds,
+        sample_estimates: sample_estimates.get(),
+    }
 }
 
 fn sanity_bound(sample: &[&(TwigQuery, f64)]) -> f64 {

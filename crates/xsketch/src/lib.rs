@@ -52,7 +52,7 @@ pub mod histogram;
 pub mod sketch;
 
 pub use answer::sample_answer;
-pub use build::{build_xsketch, XsBuildConfig};
+pub use build::{build_xsketch, build_xsketch_report, XsBuildConfig, XsBuildReport};
 pub use estimate::xs_estimate_selectivity;
 pub use histogram::EdgeHistogram;
 pub use sketch::{XEdge, XNode, XSketch, XsNodeId};

@@ -117,7 +117,6 @@ proptest! {
         for budget in [exact / 2, exact / 4, exact / 8, random, 1] {
             let budget = budget.max(1);
             let mut config = BuildConfig::with_budget(budget);
-            config.threads = 1;
             config.record_merges = true;
             let lazy = try_ts_build(&stable, &config).unwrap();
             let eager = ts_build_eager(&stable, &config).unwrap();
@@ -138,7 +137,6 @@ proptest! {
         let stable = build_stable(&doc);
         let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
         let mut config = BuildConfig::with_budget((exact / 6).max(1));
-        config.threads = 1;
         config.record_merges = true;
         config.heap_upper = heap_upper;
         config.heap_lower = heap_upper * lower_frac / 100;

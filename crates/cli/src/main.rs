@@ -25,9 +25,13 @@
 //! axqa workload <doc.xml> -n 100 [--seed S] [--negative]
 //!     Sample a twig workload from the document's stable summary.
 //! ```
+//!
+//! Exit status: 0 on success, 1 when the command fails (unreadable or
+//! malformed input), 2 on a usage error (unknown command or option,
+//! missing or extra argument, bad option value).
 
 use axqa_core::{
-    eval_query, eval_query_with_values, expand_result, ts_build, BuildConfig, EvalConfig,
+    eval_query, eval_query_with_values, expand_result, try_ts_build, BuildConfig, EvalConfig,
     TreeSketch,
 };
 use axqa_datagen::workload::{negative_workload, positive_workload, WorkloadConfig};
@@ -39,21 +43,39 @@ use axqa_xml::{parse_document, write_document, DocStats, Document};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::from(1)
-        }
+    let (message, code) = match run() {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Usage(message)) => (message, 2),
+        Err(Failure::Run(message)) => (message, 1),
+    };
+    eprintln!("error: {message}");
+    ExitCode::from(code)
+}
+
+/// Why a command failed, which decides the exit status.
+enum Failure {
+    /// The command line is wrong: exit 2.
+    Usage(String),
+    /// The command ran and failed: exit 1.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Run(message)
     }
 }
 
-fn run() -> Result<(), String> {
+fn usage(message: impl Into<String>) -> Failure {
+    Failure::Usage(message.into())
+}
+
+fn run() -> Result<(), Failure> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        return Err(
-            "usage: axqa <stats|summarize|estimate|preview|exact|generate|workload> …".into(),
-        );
+        return Err(usage(
+            "usage: axqa <stats|summarize|estimate|preview|exact|generate|workload> …",
+        ));
     };
     let rest = &args[1..];
     match command.as_str() {
@@ -64,7 +86,7 @@ fn run() -> Result<(), String> {
         "exact" => cmd_exact(rest),
         "generate" => cmd_generate(rest),
         "workload" => cmd_workload(rest),
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(usage(format!("unknown command {other:?}"))),
     }
 }
 
@@ -72,28 +94,36 @@ fn run() -> Result<(), String> {
 // Option parsing helpers (no external dependencies).
 // ---------------------------------------------------------------------
 
+/// A command's arguments: one positional argument (every command takes
+/// exactly one), options that take a value and options that don't.
 struct Opts {
-    positional: Vec<String>,
+    positional: Option<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Opts {
-    fn parse(args: &[String], value_flags: &[&str]) -> Result<Opts, String> {
-        let mut positional = Vec::new();
+    /// Any option outside `value_flags` and `bool_flags`, and any second
+    /// positional argument, is a usage error.
+    fn parse(args: &[String], value_flags: &[&str], bool_flags: &[&str]) -> Result<Opts, Failure> {
+        let mut positional = None;
         let mut flags = Vec::new();
-        let mut iter = args.iter().peekable();
+        let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--").or_else(|| arg.strip_prefix('-')) {
                 if value_flags.contains(&name) {
                     let value = iter
                         .next()
-                        .ok_or_else(|| format!("missing value for --{name}"))?;
+                        .ok_or_else(|| usage(format!("missing value for {arg}")))?;
                     flags.push((name.to_owned(), Some(value.clone())));
-                } else {
+                } else if bool_flags.contains(&name) {
                     flags.push((name.to_owned(), None));
+                } else {
+                    return Err(usage(format!("unknown option {arg:?}")));
                 }
+            } else if positional.is_some() {
+                return Err(usage(format!("unexpected argument {arg:?}")));
             } else {
-                positional.push(arg.clone());
+                positional = Some(arg.clone());
             }
         }
         Ok(Opts { positional, flags })
@@ -110,11 +140,10 @@ impl Opts {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
-    fn positional(&self, index: usize, what: &str) -> Result<&str, String> {
+    fn positional(&self, what: &str) -> Result<&str, Failure> {
         self.positional
-            .get(index)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing {what}"))
+            .as_deref()
+            .ok_or_else(|| usage(format!("missing {what}")))
     }
 }
 
@@ -134,8 +163,9 @@ fn load_sketch(path: &str) -> Result<TreeSketch, String> {
     axqa_core::io::from_text(&read_file(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parses "10KB", "512B", "2MB" or a plain byte count.
-fn parse_budget(text: &str) -> Result<usize, String> {
+/// Parses "10KB", "512B", "2MB" or a plain byte count; a zero budget,
+/// or one that overflows `usize`, is a usage error.
+fn parse_budget(text: &str) -> Result<usize, Failure> {
     let lower = text.to_ascii_lowercase();
     let (digits, factor) = if let Some(d) = lower.strip_suffix("kb") {
         (d, 1024)
@@ -146,32 +176,38 @@ fn parse_budget(text: &str) -> Result<usize, String> {
     } else {
         (lower.as_str(), 1)
     };
-    digits
+    let count: usize = digits
         .trim()
-        .parse::<usize>()
-        .map(|n| n * factor)
-        .map_err(|_| format!("bad budget {text:?} (try 10KB)"))
+        .parse()
+        .map_err(|_| usage(format!("bad budget {text:?} (try 10KB)")))?;
+    match count.checked_mul(factor) {
+        Some(0) => Err(usage(format!("budget {text:?} is zero bytes"))),
+        Some(bytes) => Ok(bytes),
+        None => Err(usage(format!("budget {text:?} is too large"))),
+    }
 }
 
 /// Parses a twig given inline (';' separates lines) or from a file.
-fn query_from_opts(opts: &Opts) -> Result<TwigQuery, String> {
+fn query_from_opts(opts: &Opts) -> Result<TwigQuery, Failure> {
     let text = if let Some(inline) = opts.value("q") {
         inline.replace(';', "\n")
     } else if let Some(path) = opts.value("query-file") {
         read_file(path)?
     } else {
-        return Err("pass a query with -q \"q1: q0 //a\" (';' separates lines)".into());
+        return Err(usage(
+            "pass a query with -q \"q1: q0 //a\" (';' separates lines)",
+        ));
     };
-    parse_twig(&text).map_err(|e| e.to_string())
+    Ok(parse_twig(&text).map_err(|e| e.to_string())?)
 }
 
 // ---------------------------------------------------------------------
 // Commands
 // ---------------------------------------------------------------------
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &[])?;
-    let doc = load_document(opts.positional(0, "document path")?)?;
+fn cmd_stats(args: &[String]) -> Result<(), Failure> {
+    let opts = Opts::parse(args, &[], &[])?;
+    let doc = load_document(opts.positional("document path")?)?;
     let stats = DocStats::compute(&doc);
     let stable = build_stable(&doc);
     println!("elements        {}", stats.elements);
@@ -189,13 +225,16 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_summarize(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["budget", "o", "values"])?;
-    let doc = load_document(opts.positional(0, "document path")?)?;
+fn cmd_summarize(args: &[String]) -> Result<(), Failure> {
+    let opts = Opts::parse(args, &["budget", "o", "values"], &[])?;
+    let doc = load_document(opts.positional("document path")?)?;
     let budget = parse_budget(opts.value("budget").unwrap_or("10KB"))?;
-    let output = opts.value("o").ok_or("missing -o <sketch.ts>")?;
+    let output = opts
+        .value("o")
+        .ok_or_else(|| usage("missing -o <sketch.ts>"))?;
     let stable = build_stable(&doc);
-    let report = ts_build(&stable, &BuildConfig::with_budget(budget));
+    let report =
+        try_ts_build(&stable, &BuildConfig::with_budget(budget)).map_err(|e| e.to_string())?;
     write_file(output, &axqa_core::io::to_text(&report.sketch))?;
     if let Some(values_path) = opts.value("values") {
         let values = axqa_core::ValueIndex::build(
@@ -225,9 +264,9 @@ fn cmd_summarize(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_estimate(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["q", "query-file", "values"])?;
-    let sketch = load_sketch(opts.positional(0, "sketch path")?)?;
+fn cmd_estimate(args: &[String]) -> Result<(), Failure> {
+    let opts = Opts::parse(args, &["q", "query-file", "values"], &[])?;
+    let sketch = load_sketch(opts.positional("sketch path")?)?;
     let query = query_from_opts(&opts)?;
     let values = load_values(&opts, &sketch)?;
     let estimate =
@@ -256,15 +295,15 @@ fn load_values(opts: &Opts, sketch: &TreeSketch) -> Result<Option<axqa_core::Val
     Ok(Some(values))
 }
 
-fn cmd_preview(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["q", "query-file", "expand"])?;
-    let sketch = load_sketch(opts.positional(0, "sketch path")?)?;
+fn cmd_preview(args: &[String]) -> Result<(), Failure> {
+    let opts = Opts::parse(args, &["q", "query-file", "expand"], &[])?;
+    let sketch = load_sketch(opts.positional("sketch path")?)?;
     let query = query_from_opts(&opts)?;
     match eval_query(&sketch, &query, &EvalConfig::default()) {
         None => println!("(empty answer)"),
         Some(result) => {
             if let Some(cap) = opts.value("expand") {
-                let cap: usize = cap.parse().map_err(|_| "bad --expand value")?;
+                let cap: usize = cap.parse().map_err(|_| usage("bad --expand value"))?;
                 let expansion = expand_result(&result, cap);
                 print_answer_tree(&expansion.tree);
                 if expansion.truncated {
@@ -297,34 +336,38 @@ fn print_answer_tree(tree: &axqa_eval::AnswerTree) {
     rec(tree, tree.root(), 0);
 }
 
-fn cmd_exact(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["q", "query-file"])?;
-    let doc = load_document(opts.positional(0, "document path")?)?;
+fn cmd_exact(args: &[String]) -> Result<(), Failure> {
+    let opts = Opts::parse(args, &["q", "query-file"], &[])?;
+    let doc = load_document(opts.positional("document path")?)?;
     let query = query_from_opts(&opts)?;
     let index = DocIndex::build(&doc);
     println!("{}", axqa_eval::selectivity(&doc, &index, &query));
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["elements", "seed", "o"])?;
-    let dataset = match opts.positional(0, "dataset name")? {
+fn cmd_generate(args: &[String]) -> Result<(), Failure> {
+    let opts = Opts::parse(args, &["elements", "seed", "o"], &[])?;
+    let dataset = match opts.positional("dataset name")? {
         "xmark" => Dataset::XMark,
         "imdb" => Dataset::Imdb,
         "sprot" => Dataset::SProt,
         "dblp" => Dataset::Dblp,
-        other => return Err(format!("unknown dataset {other:?} (xmark|imdb|sprot|dblp)")),
+        other => {
+            return Err(usage(format!(
+                "unknown dataset {other:?} (xmark|imdb|sprot|dblp)"
+            )))
+        }
     };
     let elements: usize = opts
         .value("elements")
         .unwrap_or("10000")
         .parse()
-        .map_err(|_| "bad --elements")?;
+        .map_err(|_| usage("bad --elements"))?;
     let seed: u64 = opts
         .value("seed")
         .unwrap_or("24091")
         .parse()
-        .map_err(|_| "bad --seed")?;
+        .map_err(|_| usage("bad --seed"))?;
     let doc = generate(
         dataset,
         &GenConfig {
@@ -343,20 +386,20 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_workload(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["n", "seed"])?;
-    let doc = load_document(opts.positional(0, "document path")?)?;
+fn cmd_workload(args: &[String]) -> Result<(), Failure> {
+    let opts = Opts::parse(args, &["n", "seed"], &["negative"])?;
+    let doc = load_document(opts.positional("document path")?)?;
     let stable = build_stable(&doc);
     let count: usize = opts
         .value("n")
         .unwrap_or("20")
         .parse()
-        .map_err(|_| "bad -n")?;
+        .map_err(|_| usage("bad -n"))?;
     let seed: u64 = opts
         .value("seed")
         .unwrap_or("24091")
         .parse()
-        .map_err(|_| "bad --seed")?;
+        .map_err(|_| usage("bad --seed"))?;
     let config = WorkloadConfig {
         count,
         seed,

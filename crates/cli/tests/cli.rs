@@ -110,6 +110,34 @@ fn errors_are_reported() {
     let out = axqa(&[]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+
+    // Mistyped or removed options, extra arguments and budgets no
+    // synopsis fits in are usage errors (exit 2), never a silent default
+    // or a panic.
+    let doc_path = tmp("usage.xml");
+    let sketch_path = tmp("usage.ts");
+    let (doc, sketch) = (doc_path.to_str().unwrap(), sketch_path.to_str().unwrap());
+    std::fs::write(
+        &doc_path,
+        "<bib><a><p><k/></p></a><a><p><k/><k/></p></a></bib>",
+    )
+    .unwrap();
+    for (args, message) in [
+        (vec!["--budgte", "4KB"], "unknown option \"--budgte\""),
+        (vec!["--threads", "2"], "unknown option \"--threads\""),
+        (vec!["extra.xml"], "unexpected argument \"extra.xml\""),
+        (vec!["--budget", "0"], "is zero bytes"),
+        (vec!["--budget", "18014398509481984MB"], "is too large"),
+    ] {
+        let mut full = vec!["summarize", doc, "-o", sketch];
+        full.extend(args);
+        let out = axqa(&full);
+        assert_eq!(out.status.code(), Some(2), "{full:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{full:?}: {stderr}");
+        assert!(!sketch_path.exists(), "{full:?} wrote a sketch");
+    }
+    let _ = std::fs::remove_file(doc_path);
 }
 
 #[test]

@@ -439,17 +439,6 @@ fn create_pool(
     best.into_iter().map(|w| w.0).collect()
 }
 
-/// Public `CREATEPOOL` (Fig. 6) entry point for harnesses that drive the
-/// [`MergeQueue`] directly (the `merge_queue` criterion bench): generates
-/// the bounded candidate pool exactly as one TSBUILD round would.
-pub fn create_candidate_pool(
-    state: &ClusterState<'_>,
-    config: &BuildConfig,
-    scratch: &mut ScoreScratch,
-) -> Vec<MergeCandidate> {
-    create_pool(state, config, scratch)
-}
-
 /// Scores one label group at one level (Fig. 6 inner loop) into `best`:
 /// all pairs while the group is small, sliding-window neighbor pairs
 /// over the structural-key order otherwise.

@@ -60,9 +60,7 @@ pub mod sketch;
 pub mod topdown;
 pub mod values;
 
-pub use build::{
-    create_candidate_pool, try_ts_build, ts_build, ts_build_eager, BuildConfig, BuildReport,
-};
+pub use build::{try_ts_build, ts_build, ts_build_eager, BuildConfig, BuildReport};
 pub use cluster::{ClusterState, ScoreScratch};
 pub use error::AxqaError;
 pub use eval::{
@@ -70,7 +68,6 @@ pub use eval::{
     ResultSketch,
 };
 pub use expand::{expand_result, Expansion};
-pub use queue::{MergeCandidate, MergeQueue, QueueStats};
 pub use selectivity::{estimate_selectivity, try_estimate_query_selectivity};
 pub use sketch::{TreeSketch, TsNodeId};
 pub use topdown::topdown_build;

@@ -26,17 +26,16 @@
 //! | `fig13`    | Figure 13 — TreeSketch error on the large datasets       |
 //! | `negative` | §6.1 — negative-workload behavior                        |
 //! | `all`      | everything above (EXPERIMENTS.md source)                 |
-//! | `bench`    | `bench baseline` — wall-clock snapshot (BENCH_core.json) |
+//!
+//! Wall-clock measurement of the pipeline, layer by layer, lives in
+//! `benchmark/` (declared by `BENCHMARK.json`), not here.
 //!
 //! Scale control: `--scale f` multiplies every dataset's element target
 //! (default 0.25 for figures — laptop-friendly while preserving the
 //! shapes; `--scale 1` is the paper's scale), `--queries n` sets the
 //! workload size (paper: 1000).
 
-pub mod bench;
-pub mod diff;
 pub mod experiments;
-pub mod json;
 pub mod pipeline;
 pub mod report;
 

@@ -9,15 +9,10 @@
 //!   family              §3.1 synopsis-family sizes (A(k), 1-index, stable)
 //!   values              value-predicate estimation (extension)
 //!   all                 every experiment in order
-//!   bench baseline      wall-clock baseline snapshot (BENCH_core.json);
-//!                       options: --dataset NAME --elements N --queries N
-//!                       --runs N --budgets a,b,c --seed N
-//!                       --out PATH --trace PATH --metrics PATH
-//!   bench diff OLD NEW  compare two baseline snapshots: ±8% noise
-//!                       threshold on time metrics (--time-pct N),
-//!                       exact match on determinism counters; options:
-//!                       --warn-only-time --out PATH (verdict JSON);
-//!                       exits 1 when the comparison fails
+//!
+//! Wall-clock measurement of the pipeline lives in `benchmark/` (declared
+//! by `BENCHMARK.json`); `table3` is the paper's own construction-time
+//! table.
 //!
 //! options:
 //!   --scale F           dataset scale multiplier (default 0.25; 1 = paper)
@@ -45,19 +40,18 @@ use axqa_harness::experiments::{
 use axqa_harness::PipelineConfig;
 use std::process::ExitCode;
 
-/// Every allocation this binary makes is tallied (DESIGN.md §12):
-/// `bench baseline` reports per-phase allocation profiles, and the
-/// `allocation.tracked` flag in the snapshot proves this line exists.
+/// Every allocation this binary makes is tallied (DESIGN.md §12), so the
+/// `--metrics` snapshot carries per-span allocation counts.
 #[global_allocator]
 static ALLOC: axqa_obs::alloc::CountingAlloc = axqa_obs::alloc::CountingAlloc;
 
 const USAGE: &str = "usage: harness <table1|table2|table3|fig11|fig12|fig13|negative|ablation|\
-                     family|values|all|bench> [options]";
+                     family|values|all> [options]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(code) => code,
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("harness: {message}");
             ExitCode::from(2)
@@ -65,13 +59,10 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<(), String> {
     let Some(command) = args.first().cloned() else {
         return Err(USAGE.to_string());
     };
-    if command == "bench" {
-        return cmd_bench(&args[1..]);
-    }
     let (config, obs) = parse_experiment_args(&args[1..])?;
 
     println!(
@@ -124,7 +115,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         obs.write(&recorder.drain())?;
     }
     println!("# done in {:.1}s", started.elapsed().as_secs_f64());
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 /// Where to write the run's observability outputs (`--trace`,
@@ -191,124 +182,6 @@ fn parse_experiment_args(args: &[String]) -> Result<(ExperimentConfig, ObsOutput
         }
     }
     Ok((config, obs))
-}
-
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    const BENCH_USAGE: &str = "usage: harness bench baseline [--dataset NAME] [--elements N] \
-                               [--queries N] [--runs N] [--budgets a,b,c] [--seed N] \
-                               [--out PATH] [--trace PATH] [--metrics PATH]\n\
-                               \x20      harness bench diff OLD NEW [--time-pct N] \
-                               [--warn-only-time] [--out PATH]";
-    let Some(sub) = args.first() else {
-        return Err(BENCH_USAGE.to_string());
-    };
-    if sub == "diff" {
-        return cmd_bench_diff(&args[1..]);
-    }
-    if sub != "baseline" {
-        return Err(format!(
-            "unknown bench subcommand {sub} (expected: baseline | diff)\n{BENCH_USAGE}"
-        ));
-    }
-    let mut config = axqa_harness::bench::BaselineConfig::default();
-    let mut iter = args.iter().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--dataset" => {
-                let name = value("--dataset")?;
-                config.dataset = axqa_harness::bench::parse_dataset(&name)
-                    .ok_or_else(|| format!("unknown dataset {name} (xmark|imdb|sprot|dblp)"))?;
-            }
-            "--elements" => config.elements = parse("--elements", &value("--elements")?)?,
-            "--queries" => config.queries = parse("--queries", &value("--queries")?)?,
-            "--runs" => config.runs = parse("--runs", &value("--runs")?)?,
-            "--seed" => config.seed = parse("--seed", &value("--seed")?)?,
-            "--budgets" => config.budgets_kb = parse_budgets(&value("--budgets")?)?,
-            "--out" => config.out = value("--out")?.into(),
-            "--trace" => config.trace_out = Some(value("--trace")?.into()),
-            "--metrics" => config.metrics_out = Some(value("--metrics")?.into()),
-            other => return Err(format!("unknown option {other}\n{BENCH_USAGE}")),
-        }
-    }
-    config
-        .validate()
-        .map_err(|message| format!("{message}\n{BENCH_USAGE}"))?;
-    let started = std::time::Instant::now();
-    let report = axqa_harness::bench::run_baseline(&config);
-    print!("{}", report.render());
-    report
-        .write()
-        .map_err(|error| format!("could not write {}: {error}", config.out.display()))?;
-    if let Some(path) = &config.trace_out {
-        println!("# wrote trace {}", path.display());
-    }
-    if let Some(path) = &config.metrics_out {
-        println!("# wrote metrics {}", path.display());
-    }
-    println!(
-        "# wrote {} in {:.1}s",
-        config.out.display(),
-        started.elapsed().as_secs_f64()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_bench_diff(args: &[String]) -> Result<ExitCode, String> {
-    const DIFF_USAGE: &str = "usage: harness bench diff OLD NEW [--time-pct N] \
-                              [--warn-only-time] [--out PATH]";
-    let mut config = axqa_harness::diff::DiffConfig::default();
-    let mut paths: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--time-pct" => config.time_pct = parse("--time-pct", &value("--time-pct")?)?,
-            "--warn-only-time" => config.warn_only_time = true,
-            "--out" => config.out = Some(value("--out")?.into()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option {other}\n{DIFF_USAGE}"));
-            }
-            path => paths.push(path.to_string()),
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        return Err(format!(
-            "bench diff takes exactly two snapshot paths (got {})\n{DIFF_USAGE}",
-            paths.len()
-        ));
-    };
-    if config.time_pct < 0.0 {
-        return Err(format!("--time-pct must be non-negative\n{DIFF_USAGE}"));
-    }
-    let report = axqa_harness::diff::run_diff(old_path, new_path, config);
-    print!("{}", report.render());
-    report.write().map_err(|error| {
-        let out = report
-            .config
-            .out
-            .as_ref()
-            .map_or_else(String::new, |p| p.display().to_string());
-        format!("could not write {out}: {error}")
-    })?;
-    if let Some(path) = &report.config.out {
-        println!("# wrote verdict {}", path.display());
-    }
-    // Comparison failures are exit 1 (distinct from usage errors' 2),
-    // so CI can gate on the verdict.
-    Ok(if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 fn print_one(table: axqa_harness::report::Table) {

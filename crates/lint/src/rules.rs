@@ -858,8 +858,8 @@ mod tests {
         let wrapper = "struct MyAlloc;\nunsafe impl GlobalAlloc for MyAlloc {}\n";
         let v = check(
             &ForbiddenApi,
-            "crates/bench/src/lib.rs",
-            "axqa-bench",
+            "crates/cli/src/main.rs",
+            "axqa-cli",
             false,
             wrapper,
         );

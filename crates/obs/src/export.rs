@@ -103,8 +103,8 @@ fn end_event(pid: u32, tid: u64, span: &SpanRecord) -> String {
 /// (count / total / max microseconds, plus the allocation events,
 /// bytes, and worst peak-live delta exclusively attributed to spans of
 /// that name — all zero unless the binary installed
-/// [`crate::alloc::CountingAlloc`]). This is what `harness bench
-/// baseline` embeds in BENCH_core.json and writes to `--metrics PATH`.
+/// [`crate::alloc::CountingAlloc`]). This is what the `harness` and
+/// `xtask` binaries write to `--metrics PATH`.
 pub fn metrics_json(snapshot: &Snapshot) -> String {
     let mut out = String::from("{\n  \"schema\": \"axqa-obs/2\",\n");
     out.push_str(&format!("  \"process_id\": {},\n", snapshot.process_id));

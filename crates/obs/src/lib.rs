@@ -14,10 +14,11 @@
 //!
 //! Instrumentation sites call the free functions [`span`], [`counter`]
 //! and [`observe`]. When no recorder is installed each call compiles to
-//! a single branch on a relaxed atomic load and returns immediately —
-//! the disabled-overhead smoke bench (`crates/bench/benches/
-//! obs_overhead.rs`) asserts this stays within noise of uninstrumented
-//! code. When a recorder is installed, events accumulate in per-thread
+//! a single branch on a relaxed atomic load and returns immediately, so
+//! the untraced runs of the repository benchmark (`benchmark/`) time
+//! the instrumented code as shipped; its traced runs report what
+//! recording costs (`trace.overhead_pct`). When a recorder is
+//! installed, events accumulate in per-thread
 //! buffers (no contention on the hot path) and merge into the shared
 //! recorder when a top-level span closes, a buffer fills, or a thread
 //! exits; [`Recorder::drain`] collects the merged totals.
@@ -65,7 +66,7 @@ use std::time::{Duration, Instant};
 /// Whether a recorder is currently installed — one relaxed atomic load,
 /// the entire cost of disabled instrumentation.
 #[inline]
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     recorder::gate_enabled()
 }
 

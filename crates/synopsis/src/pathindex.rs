@@ -65,7 +65,7 @@ pub fn ak_index(doc: &Document, k: u32) -> Partition {
     // signature[element] = class under the current refinement level.
     // Level 0: by label. Level i: by (own class at i-1, parent class at
     // i-1) — the standard bisimulation refinement, which on trees equals
-    // the last-(i+1)-labels criterion.
+    // the last-(i+1)-labels test.
     let mut class_of: Vec<u32> = doc.node_ids().map(|n| doc.label(n).0).collect();
     // Compact level-0 ids.
     class_of = compact(&class_of);
